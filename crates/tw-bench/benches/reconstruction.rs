@@ -53,19 +53,12 @@ fn bench_simulator(c: &mut Criterion) {
 }
 
 fn bench_mis(c: &mut Criterion) {
-    // A batch-shaped instance: 30 parents × 5 candidates, conflicts among
-    // same-parent candidates and random cross-conflicts.
+    // A batch-shaped instance: 30 parents × 5 candidates, each parent's
+    // candidates one clique group, plus random cross-conflicts.
     let n = 150;
     let mut s = Sampler::new(63);
     let weights: Vec<f64> = (0..n).map(|_| 1.0 + s.uniform() * 100.0).collect();
-    let mut g = ConflictGraph::new(weights);
-    for p in 0..30 {
-        for a in 0..5 {
-            for b in (a + 1)..5 {
-                g.add_edge(p * 5 + a, p * 5 + b);
-            }
-        }
-    }
+    let mut g = ConflictGraph::with_groups(weights, (0..n).map(|v| v / 5).collect());
     for _ in 0..400 {
         let u = s.uniform_usize(0, n);
         let v = s.uniform_usize(0, n);

@@ -78,12 +78,15 @@ fn optimize_mis(
     let bonus = range * (per_parent.len() as f64 + 1.0);
     let weights: Vec<f64> = raw_scores.iter().map(|s| (s - min_s) + bonus).collect();
 
-    let mut g = ConflictGraph::new(weights);
+    // Each parent's candidates form one clique group: at most one pick
+    // per parent, and the solver bounds with that.
+    let groups: Vec<usize> = vertex_owner.iter().map(|&(p, _)| p).collect();
+    let mut g = ConflictGraph::with_groups(weights, groups);
     for u in 0..n {
         for v in (u + 1)..n {
             let (pu, cu) = vertex_owner[u];
             let (pv, cv) = vertex_owner[v];
-            if pu == pv || per_parent[pu][cu].conflicts_with(&per_parent[pv][cv]) {
+            if pu != pv && per_parent[pu][cu].conflicts_with(&per_parent[pv][cv]) {
                 g.add_edge(u, v);
             }
         }

@@ -29,7 +29,8 @@ pub struct Params {
     /// Log-density penalty charged for each skip span used by a candidate
     /// (dynamism handling, §4.2).
     pub skip_log_penalty: f64,
-    /// Branch-and-bound node budget for the MIS solver.
+    /// Branch-and-bound node budget of one MIS solve, shared by its
+    /// connected components ([`tw_solver::mis::DEFAULT_NODE_BUDGET`]).
     pub mis_node_budget: u64,
     /// Wall-clock budget, in microseconds, shared by all MIS solves of one
     /// reconstruction pass (0 = unbounded). When the deadline expires each
@@ -95,7 +96,7 @@ impl Default for Params {
             max_children_per_slot: 8,
             max_candidates_per_span: 128,
             skip_log_penalty: -14.0,
-            mis_node_budget: 500_000,
+            mis_node_budget: tw_solver::mis::DEFAULT_NODE_BUDGET,
             solver_deadline_us: 0,
             threads: 1,
             handle_dynamism: false,

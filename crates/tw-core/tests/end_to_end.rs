@@ -253,3 +253,25 @@ fn deterministic_reconstruction() {
         assert_eq!(r1.mapping.children(rec.rpc), r2.mapping.children(rec.rpc));
     }
 }
+
+#[test]
+fn dense_load_solves_every_batch_exactly() {
+    // Hotel at 900 rps is where the joint solve is hardest: many spans
+    // contend for the same children within a batch. At default
+    // parameters every batch must be solved to proven optimality (a
+    // budget-hit batch ships a greedy answer), and accuracy must hold.
+    let app = hotel_reservation(114);
+    let call_graph = app.config.call_graph();
+    let root = app.roots[0];
+    let sim = Simulator::new(app.config).unwrap();
+    let out = sim.run(&Workload::poisson(root, 900.0, Nanos::from_millis(100)));
+    let tw = TraceWeaver::new(call_graph, Params::default());
+    let result = tw.reconstruct_records(&out.records);
+    assert_eq!(
+        result.summary().inexact_batches,
+        0,
+        "batches that shipped a greedy incumbent"
+    );
+    let acc = end_to_end_accuracy_all_roots(&result.mapping, &out.truth).ratio();
+    assert!(acc >= 0.97, "hotel @900rps accuracy {acc}");
+}

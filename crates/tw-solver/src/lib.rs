@@ -4,9 +4,10 @@
 //! set (MIS) problem using Gurobi (§4.1 step 5). This crate provides a
 //! self-contained replacement:
 //!
-//! * [`mis`] — an exact branch-and-bound weighted MIS solver with a greedy
-//!   bound and a node budget; when the budget is exhausted it degrades to
-//!   the best solution found (still a valid independent set),
+//! * [`mis`] — an exact branch-and-bound weighted MIS solver over clique
+//!   groups, with a per-group bound, a split into connected components,
+//!   and a node budget; when the budget is exhausted it degrades to the
+//!   best solution found (still a valid independent set),
 //! * [`waterfill`] — the water-filling allocator that distributes skip-span
 //!   budget across batches when handling call-graph dynamism (§4.2).
 

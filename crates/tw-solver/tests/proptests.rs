@@ -13,6 +13,50 @@ fn graph_strategy(max_n: usize) -> impl Strategy<Value = (Vec<f64>, Vec<(usize, 
     })
 }
 
+/// Random clique-structured graph, shaped like a joint-optimization
+/// batch: vertices partitioned into groups (one group per span, so at most
+/// one pick each) plus random cross-group conflicts. Weights are drawn
+/// continuous, small integers (many exact ties), or a dominant coverage
+/// bonus plus a small spread, as `tw-core::optimize` builds them.
+fn clique_graph_strategy(
+    max_n: usize,
+) -> impl Strategy<Value = (Vec<f64>, Vec<usize>, Vec<(usize, usize)>)> {
+    (2..max_n).prop_flat_map(|n| {
+        let weights = (0u8..3, prop::collection::vec(0.0f64..1.0, n)).prop_map(|(kind, raw)| {
+            raw.into_iter()
+                .map(|x| match kind {
+                    0 => x * 100.0,
+                    1 => (1.0 + x * 3.0).floor(),
+                    _ => 1000.0 + x * 10.0,
+                })
+                .collect::<Vec<f64>>()
+        });
+        let groups = prop::collection::vec(0..n.div_ceil(2), n);
+        let edges = prop::collection::vec((0..n, 0..n), 0..n * 2);
+        (weights, groups, edges)
+    })
+}
+
+/// Every maximum-weight independent set of `g`, by exhaustive search.
+fn brute_force_optima(g: &ConflictGraph, weights: &[f64]) -> (f64, Vec<Vec<usize>>) {
+    let n = weights.len();
+    let mut sets = Vec::new();
+    for mask in 0u32..(1 << n) {
+        let vs: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
+        if g.is_independent(&vs) {
+            let w: f64 = vs.iter().map(|&i| weights[i]).sum();
+            sets.push((w, vs));
+        }
+    }
+    let best = sets.iter().map(|(w, _)| *w).fold(0.0, f64::max);
+    let optima = sets
+        .into_iter()
+        .filter(|(w, _)| *w >= best - 1e-9 * best.max(1.0))
+        .map(|(_, vs)| vs)
+        .collect();
+    (best, optima)
+}
+
 fn build(weights: Vec<f64>, edges: &[(usize, usize)]) -> ConflictGraph {
     let mut g = ConflictGraph::new(weights);
     for &(u, v) in edges {
@@ -62,6 +106,44 @@ proptest! {
         }
         let s = g.solve(&SolveOptions::default());
         prop_assert!((s.weight - best).abs() < 1e-6, "solver {} vs brute {}", s.weight, best);
+    }
+
+    #[test]
+    fn clique_groups_match_brute_force(
+        (weights, groups, edges) in clique_graph_strategy(14),
+    ) {
+        let mut g = ConflictGraph::with_groups(weights.clone(), groups.clone());
+        for &(u, v) in &edges {
+            g.add_edge(u, v);
+        }
+        for u in 0..g.len() {
+            for v in (u + 1)..g.len() {
+                if groups[u] == groups[v] {
+                    prop_assert!(g.has_edge(u, v), "group {} is not a clique", groups[u]);
+                }
+            }
+        }
+        let (best, optima) = brute_force_optima(&g, &weights);
+        let s = g.solve(&SolveOptions::default());
+        prop_assert!(s.exact);
+        prop_assert!(g.is_independent(&s.chosen));
+        prop_assert!((s.weight - best).abs() < 1e-6, "solver {} vs brute {}", s.weight, best);
+        if optima.len() == 1 {
+            prop_assert_eq!(&s.chosen, &optima[0]);
+        } else {
+            prop_assert!(optima.contains(&s.chosen), "{:?} is not among {:?}", s.chosen, optima);
+        }
+        // The same graph built without groups, every edge added by hand,
+        // must give the same answer: groups only tighten the bound.
+        let mut plain = ConflictGraph::new(weights.clone());
+        for u in 0..g.len() {
+            for v in (u + 1)..g.len() {
+                if g.has_edge(u, v) {
+                    plain.add_edge(u, v);
+                }
+            }
+        }
+        prop_assert_eq!(plain.solve(&SolveOptions::default()).chosen, s.chosen);
     }
 
     #[test]
