@@ -4,20 +4,22 @@
 //!
 //! This is the wire path of the paper's online deployment (§5.3): eBPF
 //! agents on application nodes ship spans to a running TraceWeaver
-//! instance. The server is a plain blocking accept loop with one thread
-//! per connection — span export is a low-fan-in workload (one agent per
-//! node), so thread-per-connection is the robust, simple choice.
+//! instance. The server runs on the shared accept loop
+//! ([`tw_telemetry::http::Server`]) with one thread per connection — span
+//! export is a low-fan-in workload (one agent per node), so
+//! thread-per-connection is the robust, simple choice. The `/metrics`
+//! endpoint and the `fetch_*` clients use the same module's HTTP/1.1 codec.
 
 use crate::online::{OnlineConfig, OnlineEngine};
 use crossbeam::channel::Sender;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use tw_capture::wire::{encode_records, FrameDecoder};
 use tw_core::TraceWeaver;
 use tw_model::span::RpcRecord;
+use tw_telemetry::http::{self, Request, Response, Server};
 use tw_telemetry::{Counter, Registry};
 
 /// Consecutive decode failures tolerated on one connection before the
@@ -91,9 +93,7 @@ pub struct IngestStats {
 /// (IngestServer::stats) reports how many streams failed and how much
 /// data they took with them.
 pub struct IngestServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: Server,
     metrics: IngestMetrics,
 }
 
@@ -114,65 +114,17 @@ impl IngestServer {
         sink: Sender<RpcRecord>,
         registry: &Registry,
     ) -> std::io::Result<IngestServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let stats = IngestMetrics::new(registry);
-        let stats2 = stats.clone();
-        let accept_thread = std::thread::spawn(move || {
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            let serve = |stream: TcpStream, workers: &mut Vec<JoinHandle<()>>| {
-                let sink = sink.clone();
-                let stats = stats2.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = serve_connection(stream, sink, &stats);
-                }));
-            };
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    // Drain the accept backlog before exiting: exports
-                    // that connected before shutdown may still be queued
-                    // behind the wake-up connection (which carries no
-                    // frames and EOFs immediately — serving it is
-                    // harmless). This keeps the shutdown contract: every
-                    // connection established before `shutdown()` is
-                    // served to EOF.
-                    if let Ok(stream) = conn {
-                        serve(stream, &mut workers);
-                    }
-                    let _ = listener.set_nonblocking(true);
-                    for conn in listener.incoming() {
-                        match conn {
-                            Ok(stream) => {
-                                let _ = stream.set_nonblocking(false);
-                                serve(stream, &mut workers);
-                            }
-                            Err(_) => break, // WouldBlock: backlog empty
-                        }
-                    }
-                    break;
-                }
-                match conn {
-                    Ok(stream) => serve(stream, &mut workers),
-                    Err(_) => break,
-                }
-            }
-            for w in workers {
-                let _ = w.join();
-            }
-        });
-        Ok(IngestServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            metrics: stats,
-        })
+        let metrics = IngestMetrics::new(registry);
+        let stats = metrics.clone();
+        let server = Server::threaded(addr, move |stream| {
+            let _ = serve_connection(stream, sink.clone(), &stats);
+        })?;
+        Ok(IngestServer { server, metrics })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Snapshot of the ingestion counters. Counters update as connection
@@ -189,24 +141,10 @@ impl IngestServer {
         }
     }
 
-    /// Stop accepting and wait for in-flight connections to drain.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a wake-up connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for IngestServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+    /// Stop accepting and wait for in-flight connections to drain: every
+    /// connection established before `shutdown()` is served to EOF.
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
@@ -280,8 +218,10 @@ fn serve_connection(
 /// bind an [`IngestServer`] as its source, so capture agents export wire
 /// frames straight into sharded windowed reconstruction.
 /// `config.shards` (or legacy `config.threads`) sets how many window
-/// shards reconstruct concurrently; shut down the server before the
-/// engine so in-flight connections drain into the final windows.
+/// shards reconstruct concurrently; `config.sanitize` composes a
+/// [`SanitizeStage`](crate::SanitizeStage) between ingest and windowing
+/// (DESIGN.md §9). Shut down the server before the engine so in-flight
+/// connections drain into the final windows.
 pub fn serve_online(
     addr: &str,
     tw: TraceWeaver,
@@ -291,24 +231,6 @@ pub fn serve_online(
     let engine = OnlineEngine::start(tw, config);
     let server = IngestServer::bind_in(addr, engine.ingest_handle(), &registry)?;
     Ok((server, engine))
-}
-
-/// [`serve_online`] with a [`SanitizeStage`](crate::SanitizeStage)
-/// composed between the ingest source and the window router, inside the
-/// engine's supervised graph: decoded records are deduplicated,
-/// causality-checked, skew-corrected and late-filtered before they reach
-/// windowing (DESIGN.md §9). Shut down the server first, then the engine
-/// — the engine's ordered shutdown drains the sanitizer into the window
-/// shards before they flush. Read the sanitizer's final counters with
-/// [`OnlineEngine::sanitize_stats`].
-pub fn serve_online_sanitized(
-    addr: &str,
-    tw: TraceWeaver,
-    mut config: OnlineConfig,
-    sanitize: crate::SanitizeConfig,
-) -> std::io::Result<(IngestServer, OnlineEngine)> {
-    config.sanitize = Some(sanitize);
-    serve_online(addr, tw, config)
 }
 
 /// Retry policy for [`export_records`]: bounded exponential backoff with
@@ -344,22 +266,6 @@ impl ExportRetry {
             attempts: 1,
             ..ExportRetry::default()
         }
-    }
-
-    /// Backoff before attempt `n + 1` (1-based `n`), jittered.
-    fn backoff(&self, n: u32, addr: SocketAddr) -> std::time::Duration {
-        let exp = n.saturating_sub(1).min(20);
-        let nominal = self
-            .backoff_base
-            .saturating_mul(1u32 << exp)
-            .min(self.backoff_max);
-        // splitmix64 over (attempt, port): deterministic per agent+try.
-        let mut z =
-            ((u64::from(n) << 32) | u64::from(addr.port())).wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        nominal + nominal.mul_f64((z % 256) as f64 / 1024.0)
     }
 }
 
@@ -441,7 +347,12 @@ pub fn export_records_with(
             }
             Err(err) if attempt < attempts && retryable(&err) => {
                 metrics.retries.inc();
-                std::thread::sleep(retry.backoff(attempt, addr));
+                std::thread::sleep(http::backoff(
+                    retry.backoff_base,
+                    retry.backoff_max,
+                    attempt,
+                    addr.port(),
+                ));
             }
             Err(err) => {
                 metrics.failures.inc();
@@ -454,16 +365,14 @@ pub fn export_records_with(
 /// A minimal HTTP scrape endpoint serving `GET /metrics` in Prometheus
 /// text exposition format v0.0.4.
 ///
-/// Hand-rolled on a blocking accept loop, like [`IngestServer`]: scrapes
-/// are rare and tiny, so one connection at a time with a short socket
-/// timeout is robust and dependency-free. The served document is
+/// Runs on the shared accept loop ([`Server::http`]): scrapes are rare
+/// and tiny, so one connection at a time with a short socket timeout is
+/// robust and dependency-free. The served document is
 /// [`Registry::render_multi`] over `sources` — pass the pipeline's
 /// registry plus [`tw_telemetry::global()`] to cover all five stages
 /// (ingest, sanitize, engine, core task, solver) in one scrape.
 pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 /// Liveness/readiness/introspection state served next to `/metrics`
@@ -538,172 +447,77 @@ impl MetricsServer {
         sources: Vec<Registry>,
         health: ServeHealth,
     ) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let accept_thread = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = conn else { break };
-                let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-                let _ = stream.set_write_timeout(Some(std::time::Duration::from_secs(2)));
-                let _ = serve_scrape(stream, &sources, &health);
-            }
-        });
-        Ok(MetricsServer {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-        })
+        let server = Server::http(addr, move |req| route(req, &sources, &health))?;
+        Ok(MetricsServer { server })
     }
 
     /// The bound address (useful with port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
     /// Stop accepting and join the accept thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr); // wake the accept loop
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Answer one HTTP request on `stream`: `GET /metrics` gets the rendered
-/// exposition, `/healthz`/`/readyz` the liveness/readiness probes,
-/// `/deadletters` the quarantine queue as JSON, anything else a 404.
-fn serve_scrape(
-    mut stream: TcpStream,
-    sources: &[Registry],
-    health: &ServeHealth,
-) -> std::io::Result<()> {
-    // Read the request head (we never need a body; 4 KiB bounds it).
-    let mut head = Vec::with_capacity(512);
-    let mut buf = [0u8; 1024];
-    loop {
-        let n = stream.read(&mut buf)?;
-        if n == 0 {
-            break;
-        }
-        head.extend_from_slice(&buf[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") || head.len() >= 4096 {
-            break;
-        }
-    }
-    let request = String::from_utf8_lossy(&head);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) =
-        if method == "GET" && (path == "/metrics" || path.starts_with("/metrics?")) {
+/// Answer one HTTP request: `GET /metrics` gets the rendered exposition,
+/// `/healthz`/`/readyz` the liveness/readiness probes, `/deadletters`,
+/// `/spans` and `/traces` their JSON documents, anything else a 404.
+fn route(req: &Request, sources: &[Registry], health: &ServeHealth) -> Response {
+    let path = req.path.as_str();
+    let (route, query) = path.split_once('?').unwrap_or((path, ""));
+    let not_found = |what: &str| Response::text("404 Not Found", format!("{what}\n"));
+    let to_json = |value: Result<String, serde_json::Error>| {
+        Response::json(value.unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}")))
+    };
+    match (req.method.as_str(), route) {
+        ("GET", "/metrics") => {
             let refs: Vec<&Registry> = sources.iter().collect();
             // When any histogram carries exemplars, serve the OpenMetrics
             // exposition (exemplar syntax is not valid in the v0.0.4 text
             // format); plain registries keep the classic content type so
             // pre-OpenMetrics scrapers are unaffected.
             if tw_telemetry::snapshot_has_exemplars(&Registry::merged_snapshot(&refs)) {
-                (
+                Response::new(
                     "200 OK",
                     "application/openmetrics-text; version=1.0.0; charset=utf-8",
                     Registry::render_multi_openmetrics(&refs),
                 )
             } else {
-                (
+                Response::new(
                     "200 OK",
                     "text/plain; version=0.0.4; charset=utf-8",
                     Registry::render_multi(&refs),
                 )
             }
-        } else if method == "GET" && path == "/spans" {
-            match health.spans.lock().as_ref() {
-                Some(recorder) => (
-                    "200 OK",
-                    "application/json; charset=utf-8",
-                    recorder.render_json(),
-                ),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no span recorder attached\n".to_string(),
-                ),
-            }
-        } else if method == "GET" && (path == "/traces" || path.starts_with("/traces?")) {
-            match health.archive.lock().as_ref() {
-                Some(archive) => {
-                    let query =
-                        parse_trace_query(path.split_once('?').map(|x| x.1).unwrap_or(""));
-                    let doc = tw_store::TracesDoc {
-                        traces: archive.query(&query),
-                    };
-                    (
-                        "200 OK",
-                        "application/json; charset=utf-8",
-                        serde_json::to_string(&doc)
-                            .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}")),
-                    )
-                }
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no trace archive attached\n".to_string(),
-                ),
-            }
-        } else if method == "GET" && path == "/healthz" {
-            // Liveness: answering at all means the accept loop is alive.
-            ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string())
-        } else if method == "GET" && path == "/readyz" {
+        }
+        ("GET", "/spans") if query.is_empty() => match health.spans.lock().as_ref() {
+            Some(recorder) => Response::json(recorder.render_json()),
+            None => not_found("no span recorder attached"),
+        },
+        ("GET", "/traces") => match health.archive.lock().as_ref() {
+            Some(archive) => to_json(serde_json::to_string(&tw_store::TracesDoc {
+                traces: archive.query(&parse_trace_query(query)),
+            })),
+            None => not_found("no trace archive attached"),
+        },
+        // Liveness: answering at all means the accept loop is alive.
+        ("GET", "/healthz") if query.is_empty() => Response::text("200 OK", "ok\n"),
+        ("GET", "/readyz") if query.is_empty() => {
             if health.is_ready() {
-                ("200 OK", "text/plain; charset=utf-8", "ready\n".to_string())
+                Response::text("200 OK", "ready\n")
             } else {
-                (
-                    "503 Service Unavailable",
-                    "text/plain; charset=utf-8",
-                    "starting\n".to_string(),
-                )
+                Response::text("503 Service Unavailable", "starting\n")
             }
-        } else if method == "GET" && path == "/deadletters" {
-            match health.dead_letters.lock().as_ref() {
-                Some(queue) => (
-                    "200 OK",
-                    "application/json; charset=utf-8",
-                    serde_json::to_string(&queue.snapshot())
-                        .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}")),
-                ),
-                None => (
-                    "404 Not Found",
-                    "text/plain; charset=utf-8",
-                    "no dead-letter queue attached\n".to_string(),
-                ),
-            }
-        } else {
-            (
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "not found\n".to_string(),
-            )
-        };
-    let response = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+        }
+        ("GET", "/deadletters") if query.is_empty() => match health.dead_letters.lock().as_ref() {
+            Some(queue) => to_json(serde_json::to_string(&queue.snapshot())),
+            None => not_found("no dead-letter queue attached"),
+        },
+        _ => not_found("not found"),
+    }
 }
 
 /// Parse `/traces` query parameters into a [`tw_store::TraceQuery`].
@@ -736,25 +550,14 @@ fn parse_trace_query(raw: &str) -> tw_store::TraceQuery {
 /// `GET` one path from a [`MetricsServer`] and return the body. Errors on
 /// connect failure or a non-200 status.
 fn fetch_path(addr: SocketAddr, path: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )?;
-    stream.flush()?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response.split_once("\r\n\r\n").ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed HTTP response")
-    })?;
-    let status = head.lines().next().unwrap_or("");
-    if !status.contains(" 200 ") {
+    let (status, body) = http::request(addr, "GET", path, &[])?;
+    if status != 200 {
         return Err(std::io::Error::other(format!(
             "GET {path} failed: {status}"
         )));
     }
-    Ok(body.to_string())
+    String::from_utf8(body)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Scrape a [`MetricsServer`] (or any `/metrics` endpoint) and return the

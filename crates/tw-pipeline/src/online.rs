@@ -254,8 +254,8 @@ pub struct OnlineConfig {
     /// mode (the registry chain serializes windows).
     pub shards: usize,
     /// Run a [`SanitizeStage`] between ingest and windowing, inside the
-    /// same supervised graph ([`crate::serve_online_sanitized`] sets
-    /// this). `None` feeds records to the window router unfiltered.
+    /// same supervised graph (also behind [`crate::net::serve_online`]).
+    /// `None` feeds records to the window router unfiltered.
     pub sanitize: Option<SanitizeConfig>,
     /// Overflow policy for the record-carrying queues
     /// ([`Backpressure::Block`] by default — lossless, pressure
@@ -901,7 +901,7 @@ impl OnlineEngine {
                 }
                 Err(err) => {
                     rm.count_cold_start(&err);
-                    if !matches!(err, crate::checkpoint::CheckpointError::Missing) {
+                    if !matches!(err, tw_store::StoreError::Missing) {
                         eprintln!("tw-online: checkpoint not restored: {err}; cold start");
                     }
                 }

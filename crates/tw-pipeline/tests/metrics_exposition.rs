@@ -5,7 +5,7 @@
 
 use tw_core::{Params, TraceWeaver};
 use tw_model::time::Nanos;
-use tw_pipeline::net::{export_records, fetch_metrics, serve_online_sanitized, MetricsServer};
+use tw_pipeline::net::{export_records, fetch_metrics, serve_online, MetricsServer};
 use tw_pipeline::{OnlineConfig, SanitizeConfig};
 use tw_sim::apps::two_service_chain;
 use tw_sim::{Simulator, Workload};
@@ -33,11 +33,10 @@ fn scrape_covers_every_pipeline_stage() {
     let config = OnlineConfig {
         window: Nanos::from_millis(250),
         telemetry: registry,
+        sanitize: Some(SanitizeConfig::default()),
         ..OnlineConfig::default()
     };
-    let (server, engine) =
-        serve_online_sanitized("127.0.0.1:0", tw, config, SanitizeConfig::default())
-            .expect("start pipeline");
+    let (server, engine) = serve_online("127.0.0.1:0", tw, config).expect("start pipeline");
 
     let mut records = out.records.clone();
     records.sort_by_key(|r| r.send_req);

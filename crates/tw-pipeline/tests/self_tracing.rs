@@ -8,7 +8,7 @@ use tw_core::{Params, TraceWeaver};
 use tw_model::span::RpcRecord;
 use tw_model::time::Nanos;
 use tw_pipeline::net::{
-    export_records, fetch_metrics, fetch_spans, serve_online_sanitized, MetricsServer, ServeHealth,
+    export_records, fetch_metrics, fetch_spans, serve_online, MetricsServer, ServeHealth,
 };
 use tw_pipeline::{OnlineConfig, OnlineEngine, SanitizeConfig};
 use tw_sim::apps::two_service_chain;
@@ -111,11 +111,10 @@ fn slow_window_exemplar_links_to_span_tree() {
         grace: Nanos::from_millis(50),
         telemetry: registry,
         trace: Some(recorder.clone()),
+        sanitize: Some(SanitizeConfig::default()),
         ..OnlineConfig::default()
     };
-    let (server, engine) =
-        serve_online_sanitized("127.0.0.1:0", tw, config, SanitizeConfig::default())
-            .expect("start pipeline");
+    let (server, engine) = serve_online("127.0.0.1:0", tw, config).expect("start pipeline");
     health.set_ready();
     export_records(server.local_addr(), &records).expect("export records");
     server.shutdown();

@@ -2,8 +2,8 @@
 //! traces, each carrying a footer index so queries can prune a segment
 //! without parsing its body.
 //!
-//! The framing reuses the `TWCK` checkpoint discipline (magic, version,
-//! length, CRC32, payload) with a segment-specific magic and *two* frames:
+//! A segment is a [`crate::frame`] file with the `TWSG` magic and *two*
+//! frames:
 //!
 //! ```text
 //! [ magic "TWSG" | version u32 LE ]
@@ -17,17 +17,12 @@
 //! magic, unknown version, short read, CRC mismatch, unparsable JSON) is
 //! a *clean*, typed [`StoreError`] — never a panic, never trusted data.
 
+use crate::frame::{self, parse_json, to_json, FrameReader, StoreError};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use tw_model::span::RpcRecord;
 
 const MAGIC: [u8; 4] = *b"TWSG";
-const VERSION: u32 = 1;
-/// magic + version.
-const FILE_HEADER_LEN: usize = 8;
-/// len + crc in front of each frame.
-const FRAME_HEADER_LEN: usize = 12;
 
 /// Upper bounds (ns) of the per-segment latency histogram in
 /// [`SegmentIndex`]: 1ms · 2^k for k in 0..12 (1ms … ~2s); one implicit
@@ -194,197 +189,34 @@ impl SegmentIndex {
     }
 }
 
-/// Why a segment or manifest could not be read. Mirrors the checkpoint
-/// module's typed-rejection discipline: every failure is a clean reason,
-/// never a panic.
-#[derive(Debug)]
-pub enum StoreError {
-    /// The file does not exist.
-    Missing,
-    /// Filesystem error.
-    Io(std::io::Error),
-    /// Wrong leading magic.
-    BadMagic,
-    /// Unknown format version.
-    BadVersion(u32),
-    /// Shorter than a declared frame length.
-    Truncated,
-    /// Frame CRC32 mismatch (torn or bit-rotted write).
-    BadCrc,
-    /// Frame failed to parse/deserialize.
-    BadPayload(String),
-}
-
-impl StoreError {
-    /// Metric/report label: "missing", "io" or "corrupt".
-    pub fn reason(&self) -> &'static str {
-        match self {
-            StoreError::Missing => "missing",
-            StoreError::Io(_) => "io",
-            StoreError::BadMagic
-            | StoreError::BadVersion(_)
-            | StoreError::Truncated
-            | StoreError::BadCrc
-            | StoreError::BadPayload(_) => "corrupt",
-        }
-    }
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Missing => write!(f, "file missing"),
-            StoreError::Io(e) => write!(f, "io error: {e}"),
-            StoreError::BadMagic => write!(f, "bad magic"),
-            StoreError::BadVersion(v) => write!(f, "unsupported version {v}"),
-            StoreError::Truncated => write!(f, "truncated file"),
-            StoreError::BadCrc => write!(f, "crc mismatch"),
-            StoreError::BadPayload(e) => write!(f, "bad payload: {e}"),
-        }
-    }
-}
-
-/// CRC32 (IEEE 802.3 polynomial, reflected), table-driven — the same
-/// framing checksum the checkpoint module uses.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        let mut i = 0usize;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xedb8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
-            i += 1;
-        }
-        table
-    });
-    let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xffff_ffff
-}
-
-/// Atomically replace `path` with `bytes`: write a sibling temp file,
-/// fsync, rename. Readers observe either the old complete file or the new
-/// complete file, never a torn one.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
-fn to_json<T: Serialize>(value: &T) -> std::io::Result<Vec<u8>> {
-    serde_json::to_string(value)
-        .map(String::into_bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
 /// Serialize and atomically write one sealed segment. Returns the file's
 /// size in bytes and the footer index it carries.
 pub fn write_segment(path: &Path, traces: &[StoredTrace]) -> std::io::Result<(u64, SegmentIndex)> {
     let index = SegmentIndex::build(traces);
-    let body = to_json(&traces.to_vec())?;
-    let footer = to_json(&index)?;
-    let mut bytes = Vec::with_capacity(FILE_HEADER_LEN + 2 * FRAME_HEADER_LEN + body.len());
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&frame(&body));
-    bytes.extend_from_slice(&frame(&footer));
-    let len = bytes.len() as u64;
-    atomic_write(path, &bytes)?;
-    Ok((len, index))
-}
-
-fn open(path: &Path) -> Result<std::fs::File, StoreError> {
-    match std::fs::File::open(path) {
-        Ok(f) => Ok(f),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(StoreError::Missing),
-        Err(e) => Err(StoreError::Io(e)),
-    }
-}
-
-fn check_file_header(file: &mut std::fs::File, magic: [u8; 4]) -> Result<(), StoreError> {
-    let mut header = [0u8; FILE_HEADER_LEN];
-    read_exact(file, &mut header)?;
-    if header[..4] != magic {
-        return Err(StoreError::BadMagic);
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    if version != VERSION {
-        return Err(StoreError::BadVersion(version));
-    }
-    Ok(())
-}
-
-fn read_exact(file: &mut std::fs::File, buf: &mut [u8]) -> Result<(), StoreError> {
-    file.read_exact(buf).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            StoreError::Truncated
-        } else {
-            StoreError::Io(e)
+    // The body is the JSON array of the traces, serialized one trace at a
+    // time: the same bytes as serializing the slice, without building the
+    // document tree of a whole segment (many times its size) at once.
+    let mut body = vec![b'['];
+    for (i, trace) in traces.iter().enumerate() {
+        if i > 0 {
+            body.push(b',');
         }
-    })
-}
-
-/// Read one `len|crc|payload` frame at the file's current position. With
-/// `skip_payload`, seeks past the payload and returns an empty vec (the
-/// index-only read path).
-fn read_frame(file: &mut std::fs::File, skip_payload: bool) -> Result<Vec<u8>, StoreError> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    read_exact(file, &mut header)?;
-    let len = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-    let crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if skip_payload {
-        file.seek(SeekFrom::Current(len as i64))
-            .map_err(StoreError::Io)?;
-        return Ok(Vec::new());
+        body.extend_from_slice(&to_json(trace)?);
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact(file, &mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(StoreError::BadCrc);
-    }
-    Ok(payload)
-}
-
-fn parse_json<T: for<'de> Deserialize<'de>>(payload: &[u8]) -> Result<T, StoreError> {
-    let text = std::str::from_utf8(payload).map_err(|e| StoreError::BadPayload(e.to_string()))?;
-    serde_json::from_str(text).map_err(|e| StoreError::BadPayload(e.to_string()))
+    body.push(b']');
+    let bytes = frame::write_file(path, MAGIC, &[&body, &to_json(&index)?])?;
+    Ok((bytes, index))
 }
 
 /// Read and validate a whole segment: both frames CRC-checked, the body
 /// parsed into traces.
 pub fn read_segment(path: &Path) -> Result<Vec<StoredTrace>, StoreError> {
-    let mut file = open(path)?;
-    check_file_header(&mut file, MAGIC)?;
-    let body = read_frame(&mut file, false)?;
+    let mut reader = FrameReader::open(path, MAGIC)?;
+    let body = reader.frame()?;
     // Validate the footer too: a segment with a torn index is corrupt
     // even when its body happens to parse.
-    let footer = read_frame(&mut file, false)?;
+    let footer = reader.frame()?;
+    reader.finish()?;
     let _: SegmentIndex = parse_json(&footer)?;
     parse_json(&body)
 }
@@ -393,33 +225,11 @@ pub fn read_segment(path: &Path) -> Result<Vec<StoredTrace>, StoreError> {
 /// pruning path. The body CRC is *not* checked here; [`read_segment`]
 /// validates it before any trace is returned to a query.
 pub fn read_segment_index(path: &Path) -> Result<SegmentIndex, StoreError> {
-    let mut file = open(path)?;
-    check_file_header(&mut file, MAGIC)?;
-    read_frame(&mut file, true)?;
-    let footer = read_frame(&mut file, false)?;
+    let mut reader = FrameReader::open(path, MAGIC)?;
+    reader.skip_frame()?;
+    let footer = reader.frame()?;
+    reader.finish()?;
     parse_json(&footer)
-}
-
-/// Single-frame file (the manifest): `magic | version | len | crc | payload`.
-pub(crate) fn write_framed(path: &Path, magic: [u8; 4], payload: &[u8]) -> std::io::Result<()> {
-    let mut bytes = Vec::with_capacity(FILE_HEADER_LEN + FRAME_HEADER_LEN + payload.len());
-    bytes.extend_from_slice(&magic);
-    bytes.extend_from_slice(&VERSION.to_le_bytes());
-    bytes.extend_from_slice(&frame(payload));
-    atomic_write(path, &bytes)
-}
-
-pub(crate) fn read_framed(path: &Path, magic: [u8; 4]) -> Result<Vec<u8>, StoreError> {
-    let mut file = open(path)?;
-    check_file_header(&mut file, magic)?;
-    let payload = read_frame(&mut file, false)?;
-    // A trailing-garbage file was not produced by us: reject it.
-    let mut rest = Vec::new();
-    file.read_to_end(&mut rest).map_err(StoreError::Io)?;
-    if !rest.is_empty() {
-        return Err(StoreError::BadPayload("trailing bytes".to_string()));
-    }
-    Ok(payload)
 }
 
 /// Test fixtures shared by this crate's unit tests.
@@ -466,6 +276,7 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::trace;
     use super::*;
+    use crate::frame::{FILE_HEADER_LEN, FRAME_HEADER_LEN};
 
     #[test]
     fn segment_round_trips_with_footer_index() {
@@ -493,6 +304,11 @@ mod tests {
 
         assert_eq!(read_segment(&path).unwrap(), traces);
         assert_eq!(read_segment_index(&path).unwrap(), index);
+        // The body frame is exactly the JSON of the whole slice.
+        let file = std::fs::read(&path).unwrap();
+        let body = to_json(&traces).unwrap();
+        let at = FILE_HEADER_LEN + FRAME_HEADER_LEN;
+        assert_eq!(&file[at..at + body.len()], &body[..]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -540,8 +356,51 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn top_length_byte_flip_is_corrupt_not_a_panic() {
+        use crate::manifest::{load_manifest, save_manifest, Manifest, MANIFEST_FILE};
+        let dir = std::env::temp_dir().join(format!("twsg-len-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let flip = |path: &Path, at: usize| {
+            let mut bytes = std::fs::read(path).unwrap();
+            bytes[at] ^= 0x80;
+            std::fs::write(path, &bytes).unwrap();
+        };
+        // The top byte of a frame's u64 LE length sits 7 bytes into it.
+        let traces = vec![trace(0, 1, 2, 10, 20)];
+        let body_len_top = FILE_HEADER_LEN + 7;
+        let path = dir.join("body.twsg");
+        write_segment(&path, &traces).unwrap();
+        flip(&path, body_len_top);
+        for err in [
+            read_segment(&path).unwrap_err(),
+            read_segment_index(&path).unwrap_err(),
+        ] {
+            assert!(matches!(err, StoreError::Truncated), "body: got {err}");
+            assert_eq!(err.reason(), "corrupt");
+        }
+
+        let path = dir.join("footer.twsg");
+        write_segment(&path, &traces).unwrap();
+        let body_len = u64::from_le_bytes(
+            std::fs::read(&path).unwrap()[FILE_HEADER_LEN..FILE_HEADER_LEN + 8]
+                .try_into()
+                .unwrap(),
+        ) as usize;
+        flip(&path, FILE_HEADER_LEN + FRAME_HEADER_LEN + body_len + 7);
+        for err in [
+            read_segment(&path).unwrap_err(),
+            read_segment_index(&path).unwrap_err(),
+        ] {
+            assert!(matches!(err, StoreError::Truncated), "footer: got {err}");
+            assert_eq!(err.reason(), "corrupt");
+        }
+
+        save_manifest(&dir, &Manifest::default()).unwrap();
+        flip(&dir.join(MANIFEST_FILE), body_len_top);
+        let err = load_manifest(&dir).unwrap_err();
+        assert!(matches!(err, StoreError::Truncated), "manifest: got {err}");
+        assert_eq!(err.reason(), "corrupt");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
