@@ -80,10 +80,12 @@ fn bench_gmm(c: &mut Criterion) {
             }
         })
         .collect();
+    let opts = GmmFitOptions::default();
+    let ones = vec![1.0; samples.len()];
     c.bench_function("gmm_fit_auto_500_samples", |b| {
         b.iter_batched(
             || samples.clone(),
-            |xs| Gmm::fit_auto(&xs, &GmmFitOptions::default()),
+            |xs| Gmm::fit(&xs, &ones, &opts.sweep(), &opts),
             BatchSize::SmallInput,
         )
     });

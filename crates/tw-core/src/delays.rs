@@ -38,9 +38,14 @@ pub enum EdgeKey {
 }
 
 /// Per-edge delay distributions.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DelayModel {
     edges: HashMap<EdgeKey, Gmm>,
+    /// For each edge whose mixture [`DelayModel::refit`] produced: the
+    /// component cap and the gap samples it was fit from. The fit is a
+    /// pure function of those, so a later refit on bit-identical samples
+    /// reuses the mixture instead of re-running EM.
+    fitted_from: HashMap<EdgeKey, (usize, Vec<f64>)>,
 }
 
 /// Minimum σ (µs) for seed distributions, so near-deterministic services
@@ -74,6 +79,7 @@ impl DelayModel {
     }
 
     pub fn insert(&mut self, key: EdgeKey, gmm: Gmm) {
+        self.fitted_from.remove(&key);
         self.edges.insert(key, gmm);
     }
 
@@ -175,7 +181,10 @@ impl DelayModel {
     }
 
     /// Refit every edge with a BIC-selected GMM over observed gaps
-    /// (iterations ≥ 2). Edges with no samples keep their previous model.
+    /// (iterations ≥ 2). Edges with fewer than three samples keep their
+    /// previous model, and so does an edge whose samples are bit-identical
+    /// to the ones its current mixture was fit from: refitting them would
+    /// reproduce that mixture exactly.
     pub fn refit(&self, gaps: &HashMap<EdgeKey, Vec<f64>>, params: &Params) -> Self {
         let opts = GmmFitOptions {
             max_components: params.max_gmm_components,
@@ -184,11 +193,24 @@ impl DelayModel {
         let telemetry = crate::telemetry::metrics();
         let mut next = self.clone();
         for (key, samples) in gaps {
-            if samples.len() >= 3 {
-                let gmm = Gmm::fit_auto(samples, &opts);
-                telemetry.gmm_components.observe(gmm.len() as f64);
-                next.insert(*key, gmm);
+            let unchanged = self.fitted_from.get(key).is_some_and(|(cap, prev)| {
+                *cap == opts.max_components
+                    && prev.len() == samples.len()
+                    && prev
+                        .iter()
+                        .zip(samples)
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+            });
+            if samples.len() < 3 || unchanged {
+                continue;
             }
+            let ones = vec![1.0; samples.len()];
+            let (gmm, em_iterations) = Gmm::fit(samples, &ones, &opts.sweep(), &opts);
+            telemetry.gmm_components.observe(gmm.len() as f64);
+            telemetry.gmm_em_iterations.add(em_iterations);
+            next.edges.insert(*key, gmm);
+            next.fitted_from
+                .insert(*key, (opts.max_components, samples.clone()));
         }
         next
     }
@@ -448,6 +470,80 @@ mod tests {
         assert!(gmm.len() >= 2, "refit should pick up both modes");
         // The refit model should rate a gap of 80 as likely.
         assert!(refit.log_pdf(&key, 80.0) > refit.log_pdf(&key, 45.0));
+    }
+
+    /// Two edges with distinct bimodal gap samples, and a sentinel mixture
+    /// no refit of them can produce.
+    fn memo_fixture() -> (EdgeKey, EdgeKey, HashMap<EdgeKey, Vec<f64>>, Gmm) {
+        let (a, b) = (
+            EdgeKey::Call {
+                served: ep(0),
+                slot: 0,
+            },
+            EdgeKey::Final { served: ep(0) },
+        );
+        let samples = |offset: f64| -> Vec<f64> {
+            (0..60)
+                .map(|i| offset + if i % 2 == 0 { 10.0 } else { 80.0 } + (i % 5) as f64 * 0.1)
+                .collect()
+        };
+        let gaps = HashMap::from([(a, samples(0.0)), (b, samples(5.0))]);
+        (a, b, gaps, Gmm::single(Gaussian::new(-1.0, 1.0)))
+    }
+
+    #[test]
+    fn refit_on_identical_gaps_fits_no_edge() {
+        let (a, b, gaps, sentinel) = memo_fixture();
+        let p = Params::default();
+        let first = DelayModel::default().refit(&gaps, &p);
+        assert_eq!(first.refit(&gaps, &p), first, "same samples, same model");
+        // A skipped edge keeps whatever mixture it holds. Overwrite both
+        // mixtures behind the memo's back (`insert` would drop it): a
+        // second refit on the same gaps must leave both overwritten.
+        let mut poisoned = first.clone();
+        poisoned.edges.insert(a, sentinel.clone());
+        poisoned.edges.insert(b, sentinel.clone());
+        let second = poisoned.refit(&gaps, &p);
+        assert_eq!(second.get(&a), Some(&sentinel), "edge a was refit");
+        assert_eq!(second.get(&b), Some(&sentinel), "edge b was refit");
+        // A different component cap is a different fit: no reuse.
+        let capped = Params {
+            max_gmm_components: 2,
+            ..p
+        };
+        assert_ne!(poisoned.refit(&gaps, &capped).get(&a), Some(&sentinel));
+    }
+
+    #[test]
+    fn changing_one_sample_refits_only_that_edge() {
+        let (a, b, gaps, sentinel) = memo_fixture();
+        let p = Params::default();
+        let mut poisoned = DelayModel::default().refit(&gaps, &p);
+        poisoned.edges.insert(a, sentinel.clone());
+        poisoned.edges.insert(b, sentinel.clone());
+        let mut changed = gaps.clone();
+        let x = &mut changed.get_mut(&a).unwrap()[7];
+        *x = f64::from_bits(x.to_bits() + 1); // one ulp
+        let next = poisoned.refit(&changed, &p);
+        let fresh = DelayModel::default().refit(&changed, &p);
+        assert_eq!(
+            next.get(&a),
+            fresh.get(&a),
+            "edge a refit from its new samples"
+        );
+        assert_eq!(next.get(&b), Some(&sentinel), "edge b reused");
+    }
+
+    #[test]
+    fn insert_invalidates_the_refit_memo() {
+        let (a, _, gaps, sentinel) = memo_fixture();
+        let p = Params::default();
+        let first = DelayModel::default().refit(&gaps, &p);
+        let mut model = first.clone();
+        model.insert(a, sentinel);
+        let next = model.refit(&gaps, &p);
+        assert_eq!(next.get(&a), first.get(&a), "inserted edge is refit");
+        assert_eq!(next, first);
     }
 
     #[test]

@@ -273,6 +273,7 @@ impl DelayRegistry {
             max_iters: 40,
             tol: 1e-5,
         };
+        let telemetry = crate::telemetry::metrics();
         let mut quarantined = 0u64;
         let slot = self.edges.entry(process).or_default();
         let mut keys: Vec<&EdgeKey> = gaps.keys().collect();
@@ -307,11 +308,13 @@ impl DelayRegistry {
             // First sight of an edge: full BIC sweep. After that the
             // component count evolves slowly, so sweep only around the
             // current model's count.
-            let refit = if known {
-                Gmm::fit_auto_weighted_near(&xs, &ws, &opts, state.model.len())
+            let counts = if known {
+                opts.sweep_near(state.model.len())
             } else {
-                Gmm::fit_auto_weighted(&xs, &ws, &opts)
+                opts.sweep()
             };
+            let (refit, em_iterations) = Gmm::fit(&xs, &ws, &counts, &opts);
+            telemetry.gmm_em_iterations.add(em_iterations);
             // Quarantine degenerate posteriors: a refit that collapsed to
             // non-finite parameters or vanishing variance would poison
             // every later warm start, so the previous model keeps serving.
@@ -322,7 +325,6 @@ impl DelayRegistry {
             }
         }
         self.quarantined += quarantined;
-        let telemetry = crate::telemetry::metrics();
         telemetry.registry_quarantined.add(quarantined);
         telemetry.registry_edges.set(self.len() as f64);
     }

@@ -38,6 +38,9 @@ pub(crate) struct CoreMetrics {
     pub skip_budget: Counter,
     /// `tw_core_gmm_components`: BIC-selected component counts per refit.
     pub gmm_components: Histogram,
+    /// `tw_core_gmm_em_iterations_total`: EM iterations inside GMM fits
+    /// (task refits and registry absorbs).
+    pub gmm_em_iterations: Counter,
     /// `tw_core_stage_seconds{stage=...}`: wall time per task stage.
     pub stage_candidates: Histogram,
     pub stage_seed: Histogram,
@@ -109,6 +112,10 @@ pub(crate) fn metrics() -> &'static CoreMetrics {
                 "tw_core_gmm_components",
                 "BIC-selected GMM component count per delay-edge refit.",
                 Buckets::fixed(&[1.0, 2.0, 3.0, 4.0, 5.0]),
+            ),
+            gmm_em_iterations: r.counter(
+                "tw_core_gmm_em_iterations_total",
+                "EM iterations run inside GMM fits, summed over each BIC sweep.",
             ),
             stage_candidates: stage("candidates"),
             stage_seed: stage("seed"),

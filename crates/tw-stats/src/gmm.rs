@@ -6,7 +6,7 @@
 //! with a GMM whose component count is chosen by sweeping `C = 1..=C_max`
 //! and minimizing BIC.
 
-use crate::desc::{mean, percentile, population_variance};
+use crate::desc::{mean, percentile_sorted, population_variance};
 use crate::gaussian::{Gaussian, SIGMA_FLOOR};
 use serde::{Deserialize, Serialize};
 
@@ -27,7 +27,7 @@ pub struct Gmm {
 /// Options controlling the EM fit and the BIC sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct GmmFitOptions {
-    /// Largest component count tried by [`Gmm::fit_auto`] (paper: C = 5,
+    /// Largest component count of [`GmmFitOptions::sweep`] (paper: C = 5,
     /// text sweeps up to 20).
     pub max_components: usize,
     /// Maximum EM iterations per candidate model.
@@ -43,6 +43,25 @@ impl Default for GmmFitOptions {
             max_iters: 100,
             tol: 1e-6,
         }
+    }
+}
+
+impl GmmFitOptions {
+    /// The full sweep `1..=max_components` (paper §4.1 step 3).
+    pub fn sweep(&self) -> Vec<usize> {
+        (1..=self.max_components.max(1)).collect()
+    }
+
+    /// The sweep narrowed to `{1, near-1, near, near+1}`: a model refit
+    /// on a slowly-evolving sample (the delay registry's absorb loop)
+    /// rarely jumps by more than one component.
+    pub fn sweep_near(&self, near: usize) -> Vec<usize> {
+        let max = self.max_components.max(1);
+        let near = near.clamp(1, max);
+        let mut counts = vec![1, near.saturating_sub(1).max(1), near, (near + 1).min(max)];
+        counts.sort_unstable();
+        counts.dedup();
+        counts
     }
 }
 
@@ -71,135 +90,43 @@ impl Gmm {
     /// Log density at `x` via log-sum-exp over components.
     pub fn log_pdf(&self, x: f64) -> f64 {
         debug_assert!(!self.components.is_empty());
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|c| c.weight.max(f64::MIN_POSITIVE).ln() + c.gaussian.log_pdf(x))
-            .collect();
-        log_sum_exp(&logs)
+        let (mut stack, mut heap) = ([0.0; 8], Vec::new());
+        let logs = match stack.get_mut(..self.len()) {
+            Some(logs) => logs,
+            None => {
+                heap.resize(self.len(), 0.0);
+                &mut heap[..]
+            }
+        };
+        for (l, c) in logs.iter_mut().zip(&self.components) {
+            *l = Term::of(c).at(x);
+        }
+        log_sum_exp(logs)
     }
 
-    /// Density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        self.log_pdf(x).exp()
-    }
-
-    /// Mean of the mixture.
-    pub fn mean(&self) -> f64 {
-        self.components
-            .iter()
-            .map(|c| c.weight * c.gaussian.mu)
-            .sum()
-    }
-
-    /// Total log-likelihood of a sample under this mixture.
-    pub fn log_likelihood(&self, xs: &[f64]) -> f64 {
-        xs.iter().map(|&x| self.log_pdf(x)).sum()
-    }
-
-    /// Bayesian Information Criterion: `k ln n − 2 ln L` with
-    /// `k = 3C − 1` free parameters (C means, C sigmas, C−1 weights).
-    pub fn bic(&self, xs: &[f64]) -> f64 {
+    /// Bayesian Information Criterion over a weighted sample: `k ln n −
+    /// 2 ln L` with `k = 3C − 1` free parameters (C means, C sigmas, C−1
+    /// weights) and `ln L = Σ w·ln p(x)`. `n` is the total weight, so
+    /// decayed reservoirs prefer simpler models; unit weights give the
+    /// textbook BIC.
+    pub fn bic(&self, xs: &[f64], ws: &[f64]) -> f64 {
         let k = (3 * self.components.len() - 1) as f64;
-        let n = xs.len().max(1) as f64;
-        k * n.ln() - 2.0 * self.log_likelihood(xs)
+        let n_eff = ws.iter().sum::<f64>().max(1.0);
+        let terms: Vec<Term> = self.components.iter().map(Term::of).collect();
+        let mut logs = vec![0.0; terms.len()];
+        let mut ll = -0.0; // as `f64: Sum` starts
+        for (&x, &w) in xs.iter().zip(ws) {
+            ll += w * log_mix(&terms, x, &mut logs);
+        }
+        k * n_eff.ln() - 2.0 * ll
     }
 
-    /// Fit a mixture with exactly `c` components using EM.
-    ///
-    /// Initialization is deterministic: component means are placed at evenly
-    /// spaced quantiles of the sample, sigmas at the overall sigma, weights
-    /// uniform. Returns a single-component fit if the sample is too small to
-    /// support `c` components.
-    pub fn fit(xs: &[f64], c: usize, opts: &GmmFitOptions) -> Self {
-        Gmm::fit_weighted(xs, &vec![1.0; xs.len()], c, opts)
-    }
-
-    /// Weighted EM fit: each sample `xs[i]` counts with weight `ws[i]`.
-    ///
-    /// This is the reservoir-refit path of the warm-start delay registry:
-    /// gap samples from older windows are exponentially down-weighted, so
-    /// the mixture tracks the *current* delay regime while still smoothing
-    /// over many windows. With unit weights this is exactly [`Gmm::fit`].
-    pub fn fit_weighted(xs: &[f64], ws: &[f64], c: usize, opts: &GmmFitOptions) -> Self {
-        assert!(c >= 1, "component count must be >= 1");
-        assert_eq!(xs.len(), ws.len(), "one weight per sample");
-        if xs.is_empty() {
-            return Gmm::single(Gaussian::new(0.0, 1.0));
-        }
-        let total_w: f64 = ws.iter().sum();
-        if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
-            return Gmm::single(Gaussian::fit_weighted(xs, ws));
-        }
-
-        let overall_sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
-        let mut comps: Vec<GmmComponent> = (0..c)
-            .map(|i| {
-                let q = (i as f64 + 0.5) / c as f64 * 100.0;
-                GmmComponent {
-                    weight: 1.0 / c as f64,
-                    gaussian: Gaussian::new(percentile(xs, q), overall_sigma),
-                }
-            })
-            .collect();
-
-        let n = xs.len();
-        let mut resp = vec![0.0f64; n * c]; // responsibilities, row-major [point][comp]
-        let mut prev_ll = f64::NEG_INFINITY;
-
-        for _ in 0..opts.max_iters {
-            // E-step.
-            let mut ll = 0.0;
-            for (i, &x) in xs.iter().enumerate() {
-                let logs: Vec<f64> = comps
-                    .iter()
-                    .map(|cm| cm.weight.max(f64::MIN_POSITIVE).ln() + cm.gaussian.log_pdf(x))
-                    .collect();
-                let lse = log_sum_exp(&logs);
-                ll += ws[i] * lse;
-                for (j, &lj) in logs.iter().enumerate() {
-                    resp[i * c + j] = (lj - lse).exp();
-                }
-            }
-
-            // M-step (responsibilities scaled by sample weights).
-            for j in 0..c {
-                let nj: f64 = (0..n).map(|i| ws[i] * resp[i * c + j]).sum();
-                if nj < 1e-12 {
-                    // Dead component: re-seed at the sample mean so it can
-                    // recover, with a tiny weight.
-                    comps[j] = GmmComponent {
-                        weight: 1e-6,
-                        gaussian: Gaussian::new(mean(xs), overall_sigma),
-                    };
-                    continue;
-                }
-                let mu: f64 = (0..n).map(|i| ws[i] * resp[i * c + j] * xs[i]).sum::<f64>() / nj;
-                let var: f64 = (0..n)
-                    .map(|i| {
-                        let d = xs[i] - mu;
-                        ws[i] * resp[i * c + j] * d * d
-                    })
-                    .sum::<f64>()
-                    / nj;
-                comps[j] = GmmComponent {
-                    weight: nj / total_w,
-                    gaussian: Gaussian::new(mu, var.sqrt()),
-                };
-            }
-            normalize_weights(&mut comps);
-
-            if (ll - prev_ll).abs() / total_w <= opts.tol {
-                break;
-            }
-            prev_ll = ll;
-        }
-
-        Gmm { components: comps }
-    }
-
-    /// Fit mixtures for `C = 1..=opts.max_components` and return the one
-    /// minimizing BIC (paper §4.1 step 3).
+    /// Fit a mixture for each component count in `counts`, in order, by
+    /// weighted EM (`xs[i]` counts with weight `ws[i]`; unit weights for an
+    /// unweighted sample); return the [`Gmm::bic`] minimizer (the earlier
+    /// count on a tie) and the EM iterations run. EM starts at evenly
+    /// spaced quantiles, the overall sigma and uniform weights; a count
+    /// with under two samples per component gets the single-Gaussian fit.
     ///
     /// # Examples
     /// ```
@@ -208,80 +135,151 @@ impl Gmm {
     /// let xs: Vec<f64> = (0..200)
     ///     .map(|i| if i % 2 == 0 { 10.0 } else { 500.0 } + (i % 7) as f64)
     ///     .collect();
-    /// let gmm = Gmm::fit_auto(&xs, &GmmFitOptions::default());
+    /// let opts = GmmFitOptions::default();
+    /// let (gmm, _) = Gmm::fit(&xs, &vec![1.0; xs.len()], &opts.sweep(), &opts);
     /// assert!(gmm.len() >= 2);
     /// assert!(gmm.log_pdf(500.0) > gmm.log_pdf(250.0));
     /// ```
-    pub fn fit_auto(xs: &[f64], opts: &GmmFitOptions) -> Self {
+    pub fn fit(xs: &[f64], ws: &[f64], counts: &[usize], opts: &GmmFitOptions) -> (Gmm, u64) {
+        assert_eq!(xs.len(), ws.len(), "one weight per sample");
+        let total_w: f64 = ws.iter().sum();
+        let mut init = None;
+        let mut em_iterations = 0;
         let mut best: Option<(f64, Gmm)> = None;
-        for c in 1..=opts.max_components.max(1) {
-            let gmm = Gmm::fit(xs, c, opts);
-            let bic = gmm.bic(xs);
+        for &c in counts {
+            assert!(c >= 1, "component count must be >= 1");
+            let gmm = if xs.is_empty() {
+                Gmm::single(Gaussian::new(0.0, 1.0))
+            } else if c == 1 || xs.len() < 2 * c || total_w <= 0.0 {
+                Gmm::single(Gaussian::fit_weighted(xs, ws))
+            } else {
+                let init = init.get_or_insert_with(|| {
+                    let mut sorted = xs.to_vec();
+                    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+                    let sigma = population_variance(xs).sqrt().max(SIGMA_FLOOR);
+                    (sorted, mean(xs), sigma, total_w)
+                });
+                let (gmm, iterations) = em(xs, ws, init, c, opts);
+                em_iterations += iterations;
+                gmm
+            };
+            let bic = gmm.bic(xs, ws);
             match &best {
                 Some((b, _)) if *b <= bic => {}
                 _ => best = Some((bic, gmm)),
             }
         }
-        best.expect("at least one candidate model").1
+        (best.expect("at least one component count").1, em_iterations)
+    }
+}
+
+/// One component's `ln w + ln N(x; μ, σ)`, with `ln w` and `ln σ` computed
+/// once instead of once per sample.
+struct Term {
+    ln_w: f64,
+    ln_sigma: f64,
+    gaussian: Gaussian,
+}
+
+impl Term {
+    fn of(c: &GmmComponent) -> Term {
+        Term {
+            ln_w: c.weight.max(f64::MIN_POSITIVE).ln(),
+            ln_sigma: c.gaussian.sigma.ln(),
+            gaussian: c.gaussian,
+        }
     }
 
-    /// Weighted log-likelihood of a sample under this mixture.
-    pub fn log_likelihood_weighted(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        xs.iter().zip(ws).map(|(&x, &w)| w * self.log_pdf(x)).sum()
+    fn at(&self, x: f64) -> f64 {
+        self.ln_w + self.gaussian.log_pdf_given_ln_sigma(x, self.ln_sigma)
     }
+}
 
-    /// BIC over a weighted sample: the effective sample size is the total
-    /// weight, so heavily decayed reservoirs prefer simpler models.
-    pub fn bic_weighted(&self, xs: &[f64], ws: &[f64]) -> f64 {
-        let k = (3 * self.components.len() - 1) as f64;
-        let n_eff = ws.iter().sum::<f64>().max(1.0);
-        k * n_eff.ln() - 2.0 * self.log_likelihood_weighted(xs, ws)
+/// `ln Σ exp(t(x))` over the terms, leaving each `t(x)` in `logs`.
+fn log_mix(terms: &[Term], x: f64, logs: &mut [f64]) -> f64 {
+    for (l, t) in logs.iter_mut().zip(terms) {
+        *l = t.at(x);
     }
+    log_sum_exp(logs)
+}
 
-    /// [`Gmm::fit_auto`] over a weighted sample: sweep `C` and keep the
-    /// weighted-BIC minimizer.
-    pub fn fit_auto_weighted(xs: &[f64], ws: &[f64], opts: &GmmFitOptions) -> Self {
-        let mut best: Option<(f64, Gmm)> = None;
-        for c in 1..=opts.max_components.max(1) {
-            let gmm = Gmm::fit_weighted(xs, ws, c, opts);
-            let bic = gmm.bic_weighted(xs, ws);
-            match &best {
-                Some((b, _)) if *b <= bic => {}
-                _ => best = Some((bic, gmm)),
+/// Computed once per sweep: sorted sample, mean, floored σ, total weight.
+type Init = (Vec<f64>, f64, f64, f64);
+
+/// Weighted EM with `c >= 2` components: the mixture and the iterations
+/// run. Nothing is allocated per sample or iteration, and every sum keeps
+/// the textbook order (starting at `-0.0`, as `f64: Sum` does), to the bit.
+fn em(xs: &[f64], ws: &[f64], init: &Init, c: usize, opts: &GmmFitOptions) -> (Gmm, u64) {
+    let (sorted, mean, sigma, total_w) = (&init.0, init.1, init.2, init.3);
+    let mut comps: Vec<GmmComponent> = (0..c)
+        .map(|i| {
+            let q = (i as f64 + 0.5) / c as f64 * 100.0;
+            let gaussian = Gaussian::new(percentile_sorted(sorted, q), sigma);
+            GmmComponent {
+                weight: 1.0 / c as f64,
+                gaussian,
+            }
+        })
+        .collect();
+    // Scratch: responsibilities (row-major [point][comp]), one sample's log
+    // terms, and per component [Σw·r, Σw·r·x, μ, Σw·r·(x−μ)²].
+    let mut resp = vec![0.0f64; xs.len() * c];
+    let mut logs = vec![0.0f64; c];
+    let mut terms: Vec<Term> = Vec::with_capacity(c);
+    let mut sums = vec![[-0.0f64; 4]; c];
+    let mut prev_ll = f64::NEG_INFINITY;
+    let mut iterations = 0;
+
+    for _ in 0..opts.max_iters {
+        iterations += 1;
+        // E-step, accumulating Σw·r and Σw·r·x (responsibilities scaled by
+        // sample weights).
+        terms.clear();
+        terms.extend(comps.iter().map(Term::of));
+        sums.fill([-0.0; 4]);
+        let mut ll = 0.0;
+        for ((&x, &w), r) in xs.iter().zip(ws).zip(resp.chunks_exact_mut(c)) {
+            let lse = log_mix(&terms, x, &mut logs);
+            ll += w * lse;
+            for ((rj, &lj), [nj, sx, _, _]) in r.iter_mut().zip(&logs).zip(sums.iter_mut()) {
+                *rj = (lj - lse).exp();
+                *nj += w * *rj;
+                *sx += w * *rj * x;
             }
         }
-        best.expect("at least one candidate model").1
-    }
 
-    /// Weighted BIC selection over a *narrowed* sweep: only component
-    /// counts within one of `near` (plus the single-Gaussian fallback) are
-    /// tried. When a model is refit round after round on a slowly-evolving
-    /// sample set — the delay registry's absorb loop — the optimal count
-    /// rarely jumps, so sweeping `{1, near-1, near, near+1}` instead of
-    /// `1..=C_max` buys back most of the sweep cost without giving up the
-    /// ability to grow or shrink by one per round.
-    pub fn fit_auto_weighted_near(
-        xs: &[f64],
-        ws: &[f64],
-        opts: &GmmFitOptions,
-        near: usize,
-    ) -> Self {
-        let max = opts.max_components.max(1);
-        let near = near.clamp(1, max);
-        let mut counts = vec![1, near.saturating_sub(1).max(1), near, (near + 1).min(max)];
-        counts.sort_unstable();
-        counts.dedup();
-        let mut best: Option<(f64, Gmm)> = None;
-        for c in counts {
-            let gmm = Gmm::fit_weighted(xs, ws, c, opts);
-            let bic = gmm.bic_weighted(xs, ws);
-            match &best {
-                Some((b, _)) if *b <= bic => {}
-                _ => best = Some((bic, gmm)),
+        // M-step: means, then one pass for the variances.
+        for [nj, sx, mu, _] in sums.iter_mut() {
+            *mu = *sx / *nj;
+        }
+        for ((&x, &w), r) in xs.iter().zip(ws).zip(resp.chunks_exact(c)) {
+            for (&rj, [_, _, mu, sv]) in r.iter().zip(sums.iter_mut()) {
+                let d = x - *mu;
+                *sv += w * rj * d * d;
             }
         }
-        best.expect("at least one candidate model").1
+        for (cm, &[nj, _, mu, sv]) in comps.iter_mut().zip(&sums) {
+            // A dead component re-seeds at the sample mean so it can
+            // recover, with a tiny weight.
+            let (weight, mu, sd) = if nj < 1e-12 {
+                (1e-6, mean, sigma)
+            } else {
+                (nj / total_w, mu, (sv / nj).sqrt())
+            };
+            *cm = GmmComponent {
+                weight,
+                gaussian: Gaussian::new(mu, sd),
+            };
+        }
+        normalize_weights(&mut comps);
+
+        if (ll - prev_ll).abs() / total_w <= opts.tol {
+            break;
+        }
+        prev_ll = ll;
     }
+
+    (Gmm { components: comps }, iterations)
 }
 
 fn normalize_weights(comps: &mut [GmmComponent]) {
@@ -306,6 +304,17 @@ fn log_sum_exp(xs: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// Fit exactly `c` components to an unweighted sample.
+    fn fit_c(xs: &[f64], c: usize) -> Gmm {
+        Gmm::fit(xs, &vec![1.0; xs.len()], &[c], &GmmFitOptions::default()).0
+    }
+
+    /// The full unweighted BIC sweep.
+    fn fit_auto(xs: &[f64]) -> Gmm {
+        let opts = GmmFitOptions::default();
+        Gmm::fit(xs, &vec![1.0; xs.len()], &opts.sweep(), &opts).0
+    }
+
     /// Deterministic interleaved bimodal sample: half near 10, half near 50.
     fn bimodal() -> Vec<f64> {
         let mut xs = Vec::new();
@@ -323,7 +332,7 @@ mod tests {
     #[test]
     fn single_component_fit_is_mle() {
         let xs = [1.0, 2.0, 3.0, 4.0];
-        let gmm = Gmm::fit(&xs, 1, &GmmFitOptions::default());
+        let gmm = fit_c(&xs, 1);
         assert_eq!(gmm.len(), 1);
         assert!((gmm.components[0].gaussian.mu - 2.5).abs() < 1e-12);
     }
@@ -331,7 +340,7 @@ mod tests {
     #[test]
     fn two_component_fit_finds_modes() {
         let xs = bimodal();
-        let gmm = Gmm::fit(&xs, 2, &GmmFitOptions::default());
+        let gmm = fit_c(&xs, 2);
         let mut mus: Vec<f64> = gmm.components.iter().map(|c| c.gaussian.mu).collect();
         mus.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((mus[0] - 10.0).abs() < 1.0, "low mode at {}", mus[0]);
@@ -341,8 +350,7 @@ mod tests {
     #[test]
     fn bic_prefers_two_components_on_bimodal() {
         let xs = bimodal();
-        let opts = GmmFitOptions::default();
-        let auto = Gmm::fit_auto(&xs, &opts);
+        let auto = fit_auto(&xs);
         assert!(auto.len() >= 2, "BIC should reject a single Gaussian");
     }
 
@@ -352,13 +360,13 @@ mod tests {
         // their BIC penalty.
         let mut s = crate::sampler::Sampler::new(4);
         let xs: Vec<f64> = (0..400).map(|_| s.normal(20.0, 2.0)).collect();
-        let auto = Gmm::fit_auto(&xs, &GmmFitOptions::default());
+        let auto = fit_auto(&xs);
         assert_eq!(auto.len(), 1, "BIC should select 1 component");
     }
 
     #[test]
     fn weights_sum_to_one() {
-        let gmm = Gmm::fit(&bimodal(), 3, &GmmFitOptions::default());
+        let gmm = fit_c(&bimodal(), 3);
         let total: f64 = gmm.components.iter().map(|c| c.weight).sum();
         assert!((total - 1.0).abs() < 1e-9);
     }
@@ -379,58 +387,60 @@ mod tests {
         };
         let x = 2.0;
         let manual = 0.3 * Gaussian::new(0.0, 1.0).pdf(x) + 0.7 * Gaussian::new(5.0, 2.0).pdf(x);
-        assert!((gmm.pdf(x) - manual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mixture_mean() {
-        let gmm = Gmm {
-            components: vec![
-                GmmComponent {
-                    weight: 0.5,
-                    gaussian: Gaussian::new(0.0, 1.0),
-                },
-                GmmComponent {
-                    weight: 0.5,
-                    gaussian: Gaussian::new(10.0, 1.0),
-                },
-            ],
-        };
-        assert!((gmm.mean() - 5.0).abs() < 1e-12);
+        assert!((gmm.log_pdf(x).exp() - manual).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_inputs() {
-        let gmm = Gmm::fit(&[], 3, &GmmFitOptions::default());
+        let gmm = fit_c(&[], 3);
         assert_eq!(gmm.len(), 1);
-        let gmm = Gmm::fit(&[1.0], 3, &GmmFitOptions::default());
+        let gmm = fit_c(&[1.0], 3);
         assert_eq!(gmm.len(), 1);
         assert!(gmm.log_pdf(1.0).is_finite());
         // Identical points: sigma floored, density finite.
-        let gmm = Gmm::fit(&[2.0; 50], 2, &GmmFitOptions::default());
+        let gmm = fit_c(&[2.0; 50], 2);
         assert!(gmm.log_pdf(2.0).is_finite());
     }
 
     #[test]
     fn log_likelihood_higher_for_better_model() {
         let xs = bimodal();
-        let one = Gmm::fit(&xs, 1, &GmmFitOptions::default());
-        let two = Gmm::fit(&xs, 2, &GmmFitOptions::default());
-        assert!(two.log_likelihood(&xs) > one.log_likelihood(&xs));
+        let ll = |g: &Gmm| xs.iter().map(|&x| g.log_pdf(x)).sum::<f64>();
+        assert!(ll(&fit_c(&xs, 2)) > ll(&fit_c(&xs, 1)));
     }
 
     #[test]
-    fn unit_weights_match_unweighted_fit() {
+    fn unit_weights_give_the_textbook_bic() {
+        // With unit weights the effective sample size is exactly n and
+        // every `1.0 * ln p(x)` is exact, so the weighted BIC is bit for
+        // bit `k ln n - 2 Σ ln p(x)`.
         let xs = bimodal();
-        let ws = vec![1.0; xs.len()];
         for c in 1..=3 {
-            let a = Gmm::fit(&xs, c, &GmmFitOptions::default());
-            let b = Gmm::fit_weighted(&xs, &ws, c, &GmmFitOptions::default());
-            assert_eq!(a, b, "unit-weight fit diverged at c={c}");
+            let gmm = fit_c(&xs, c);
+            let k = (3 * gmm.len() - 1) as f64;
+            let ll: f64 = xs.iter().map(|&x| gmm.log_pdf(x)).sum();
+            let textbook = k * (xs.len() as f64).ln() - 2.0 * ll;
+            let bic = gmm.bic(&xs, &vec![1.0; xs.len()]);
+            assert_eq!(bic.to_bits(), textbook.to_bits(), "c={c}");
         }
-        let a = Gmm::fit_auto(&xs, &GmmFitOptions::default());
-        let b = Gmm::fit_auto_weighted(&xs, &ws, &GmmFitOptions::default());
-        assert_eq!(a.len(), b.len());
+    }
+
+    #[test]
+    fn sweeps_and_iteration_counts() {
+        let opts = GmmFitOptions::default();
+        assert_eq!(opts.sweep(), vec![1, 2, 3, 4, 5]);
+        assert_eq!(opts.sweep_near(1), vec![1, 2]);
+        assert_eq!(opts.sweep_near(3), vec![1, 2, 3, 4]);
+        assert_eq!(opts.sweep_near(9), vec![1, 4, 5]);
+        // A single-Gaussian fit runs no EM; a two-component fit runs at
+        // least one and at most `max_iters` iterations.
+        let xs = bimodal();
+        let ones = vec![1.0; xs.len()];
+        assert_eq!(Gmm::fit(&xs, &ones, &[1], &opts).1, 0);
+        let (_, iters) = Gmm::fit(&xs, &ones, &[2], &opts);
+        assert!((1..=opts.max_iters as u64).contains(&iters));
+        let (_, sweep) = Gmm::fit(&xs, &ones, &[1, 2], &opts);
+        assert_eq!(sweep, iters, "a sweep sums its fits' iterations");
     }
 
     #[test]
@@ -449,7 +459,7 @@ mod tests {
                 ws.push(0.05);
             }
         }
-        let gmm = Gmm::fit_weighted(&xs, &ws, 2, &GmmFitOptions::default());
+        let gmm = Gmm::fit(&xs, &ws, &[2], &GmmFitOptions::default()).0;
         let low_weight: f64 = gmm
             .components
             .iter()

@@ -93,7 +93,7 @@ proptest! {
         c in 1usize..5,
         probe in -1e4f64..1e4,
     ) {
-        let gmm = Gmm::fit(&xs, c, &GmmFitOptions::default());
+        let gmm = Gmm::fit(&xs, &vec![1.0; xs.len()], &[c], &GmmFitOptions::default()).0;
         prop_assert!(!gmm.is_empty());
         prop_assert!(gmm.log_pdf(probe).is_finite());
         let total: f64 = gmm.components.iter().map(|c| c.weight).sum();
@@ -105,8 +105,9 @@ proptest! {
         xs in prop::collection::vec(-1e3f64..1e3, 10..150),
     ) {
         let opts = GmmFitOptions::default();
-        let auto = Gmm::fit_auto(&xs, &opts);
-        let single = Gmm::fit(&xs, 1, &opts);
-        prop_assert!(auto.bic(&xs) <= single.bic(&xs) + 1e-6);
+        let ones = vec![1.0; xs.len()];
+        let (auto, _) = Gmm::fit(&xs, &ones, &opts.sweep(), &opts);
+        let (single, _) = Gmm::fit(&xs, &ones, &[1], &opts);
+        prop_assert!(auto.bic(&xs, &ones) <= single.bic(&xs, &ones) + 1e-6);
     }
 }

@@ -127,7 +127,9 @@ pub fn write_file(path: &Path, magic: [u8; 4], payloads: &[&[u8]]) -> std::io::R
 /// Atomically replace `path`: `write` fills the sibling `<path>.tmp`
 /// (same directory, so the rename never crosses filesystems), which is
 /// fsynced and renamed over `path`. Readers observe either the old
-/// complete file or the new complete file, never a torn one.
+/// complete file or the new complete file, never a torn one. The parent
+/// directory is fsynced after the rename, so once this returns `Ok` a
+/// crash cannot bring back the older file.
 pub fn atomic_write(
     path: &Path,
     write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
@@ -139,7 +141,12 @@ pub fn atomic_write(
     write(&mut file)?;
     file.sync_all()?;
     drop(file);
-    std::fs::rename(&tmp, path)
+    std::fs::rename(&tmp, path)?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Serialize `value` as JSON bytes (a frame payload).
@@ -275,5 +282,22 @@ mod tests {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn atomic_write_replaces_the_file_and_reports_errors() {
+        let dir = std::env::temp_dir().join(format!("twframe-aw-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("doc.bin");
+        for body in [&b"old"[..], &b"new"[..]] {
+            atomic_write(&path, |f| f.write_all(body)).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), body);
+        }
+        assert!(!dir.join("doc.bin.tmp").exists(), "temp file renamed away");
+        // A failed write leaves the previous file in place.
+        let err = atomic_write(&path, |_| Err(std::io::Error::other("boom"))).unwrap_err();
+        assert_eq!(err.to_string(), "boom");
+        assert_eq!(std::fs::read(&path).unwrap(), b"new");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
